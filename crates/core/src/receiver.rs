@@ -591,25 +591,21 @@ impl Machine for Receiver {
         }
         let mut per_target: BTreeMap<HostId, Vec<SeqRange>> = BTreeMap::new();
         let mut exhausted = false;
-        let due: Vec<u64> = self
-            .pending
-            .iter()
-            .filter(|(_, r)| now >= r.next_nack_at)
-            .map(|(&i, _)| i)
-            .collect();
-        for idx in due {
-            let targets = self.config.recovery_targets.clone();
-            let r = self.pending.get_mut(&idx).expect("due recovery");
+        let targets = &self.config.recovery_targets;
+        // Due recoveries, in index order.
+        self.pending.retain(|_, r| {
+            if now < r.next_nack_at {
+                return true;
+            }
             if r.total_attempts >= self.config.max_recovery_attempts {
                 // Nobody can supply this packet (pre-origin backfill, or
                 // retention expired everywhere): stop asking.
                 let seq = r.seq;
-                self.pending.remove(&idx);
                 self.gaps.abandon(seq);
                 self.stats.abandoned += 1;
                 self.tracer
                     .emit(now.nanos(), || ProtocolEvent::RecoveryAbandoned { seq });
-                continue;
+                return false;
             }
             if r.attempts >= self.config.attempts_per_target {
                 if r.target_idx + 1 < targets.len() {
@@ -631,7 +627,8 @@ impl Machine for Receiver {
                 Some(last) if last.last.next() == r.seq => last.last = r.seq,
                 _ => ranges.push(SeqRange::single(r.seq)),
             }
-        }
+            true
+        });
         for (target, ranges) in per_target {
             self.tracer.emit(now.nanos(), || ProtocolEvent::NackSent {
                 target,

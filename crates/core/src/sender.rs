@@ -423,14 +423,15 @@ impl Sender {
             .emit(now.nanos(), || ProtocolEvent::PrimaryUnresponsive {
                 primary,
             });
-        if self.config.replicas.is_empty() {
-            // Nothing to fail over to; keep retrying the primary.
+        // Propose the next term (monotone across failed elections) and
+        // solicit promises from every live replica. With nothing to fail
+        // over to, or no term left above an adopted `u32::MAX`, keep
+        // retrying the primary.
+        let next_term = self.last_proposed.max(self.term).checked_add(1);
+        let Some(term) = next_term.filter(|_| !self.config.replicas.is_empty()) else {
             self.handoff_attempts = 0;
             return;
-        }
-        // Propose the next term (monotone across failed elections) and
-        // solicit promises from every live replica.
-        let term = self.last_proposed.max(self.term) + 1;
+        };
         self.last_proposed = term;
         self.health = PrimaryHealth::Probing {
             since: now,
@@ -1108,6 +1109,67 @@ mod tests {
         s.on_packet(now, PRIMARY, log_ack(3), &mut out);
         assert_eq!(s.buffered(), buffered, "fenced ack released buffer");
         assert!(notices(&out).is_empty());
+    }
+
+    /// A forged or runaway `TermAnnounce { term: u32::MAX }` leaves no
+    /// next term to propose: failover must neither overflow nor elect,
+    /// and the sender keeps handing data to the primary it knows.
+    #[test]
+    fn failover_after_max_term_keeps_retrying_the_primary() {
+        let replica = HostId(301);
+        let mut cfg = SenderConfig::new(GROUP, SRC, HOST, PRIMARY);
+        cfg.replicas = vec![replica, HostId(302)];
+        let mut s = Sender::new(cfg);
+        let mut out = Actions::new();
+        s.on_start(Time::ZERO, &mut out);
+        s.on_packet(
+            Time::ZERO,
+            replica,
+            Packet::TermAnnounce {
+                group: GROUP,
+                source: SRC,
+                term: u32::MAX,
+                leader: replica,
+            },
+            &mut out,
+        );
+        assert_eq!((s.term(), s.primary()), (u32::MAX, replica));
+        let mut now = Time::ZERO;
+        s.send(now, Bytes::from_static(b"x"), &mut out);
+        out.clear();
+        let mut unresponsive = 0;
+        for _ in 0..200 {
+            now = s.next_deadline().unwrap();
+            s.poll(now, &mut out);
+            unresponsive += notices(&out)
+                .iter()
+                .filter(|n| matches!(n, Notice::PrimaryUnresponsive { .. }))
+                .count();
+            assert!(
+                !out.iter().any(|a| matches!(
+                    a,
+                    Action::Unicast {
+                        packet: Packet::ElectPrepare { .. },
+                        ..
+                    }
+                )),
+                "no term above u32::MAX can be proposed: {out:?}"
+            );
+            out.clear();
+        }
+        assert!(unresponsive >= 2, "failover was forced repeatedly");
+        assert_eq!((s.term(), s.primary()), (u32::MAX, replica));
+        // After each forced failover the handoff to the primary resumes.
+        s.poll(s.next_deadline().unwrap(), &mut out);
+        let mut handed = false;
+        for _ in 0..20 {
+            now = s.next_deadline().unwrap();
+            s.poll(now, &mut out);
+            handed |= out.iter().any(|a| {
+                matches!(a, Action::Unicast { to, packet: Packet::Data { .. } } if *to == replica)
+            });
+        }
+        assert!(handed, "data handoff to the primary resumed");
     }
 
     #[test]

@@ -22,13 +22,27 @@
 //! only the idle `h_max` backoff tail (seconds) sits higher.
 //!
 //! Events whose deadline falls inside the currently *open* tick live in
-//! `near`, a ready list kept sorted *descending* by
-//! `(deadline, tiebreak)`: the earliest event sits at the back, a pop is
-//! `Vec::pop`, and draining a bucket is one batch sort (of a few events)
-//! rather than per-event heap sifts. Advancing the clock drains the next
-//! occupied slot into `near` (level 0) or cascades it one level down
-//! (levels ≥ 1); per-level occupancy bitmaps make "find the next occupied
-//! slot" a handful of word scans instead of a walk over empty buckets.
+//! `near`, a min-heap on `(deadline, tiebreak)`. Advancing the clock
+//! turns the next occupied level-0 slot into `near` with one O(n)
+//! heapify, or cascades a higher slot one level down; per-level
+//! occupancy bitmaps make "find the next occupied slot" a handful of
+//! word scans instead of a walk over empty buckets.
+//!
+//! # Entry layout
+//!
+//! Neither structure moves payloads. [`EventQueue`] keeps every
+//! scheduled item in a slab of fixed-size chunks whose vacated slots go
+//! on a LIFO free list and are refilled before the slab grows, so the
+//! slab never holds more slots than the peak queue depth, and growing it
+//! never copies a payload. The wheel buckets,
+//! the open-tick heap and the heap backend order only a 32-byte
+//! `(at, tiebreak, slot)` entry — `at` is 8 bytes, the `u128` tiebreak
+//! 16, the `u32` slot index 4, padded to the tiebreak's alignment. The
+//! simulator's payload, a packet delivery or timer, is 96 bytes on
+//! x86-64; with it inline every heap sift and bucket drain moved a
+//! 128-byte entry, and in a profile of the paper-scale DIS run
+//! (50 sites × 20 receivers) the sifts alone took about a sixth of
+//! `World::step`.
 //!
 //! # Determinism
 //!
@@ -95,26 +109,30 @@ impl QueueBackend {
     }
 }
 
-/// One scheduled event: ordered by `(at, tiebreak)` only — the payload
-/// never participates in comparisons.
-struct Entry<T> {
+/// One scheduled event as the ordering structures see it: ordered by
+/// `(at, tiebreak)` only; `slot` names the payload's slab slot and never
+/// participates in comparisons.
+#[derive(Clone, Copy)]
+struct Entry {
     at: SimTime,
     tiebreak: u128,
-    item: T,
+    slot: u32,
 }
 
-impl<T> PartialEq for Entry<T> {
+const _: () = assert!(std::mem::size_of::<Entry>() == 32);
+
+impl PartialEq for Entry {
     fn eq(&self, other: &Self) -> bool {
         self.at == other.at && self.tiebreak == other.tiebreak
     }
 }
-impl<T> Eq for Entry<T> {}
-impl<T> PartialOrd for Entry<T> {
+impl Eq for Entry {}
+impl PartialOrd for Entry {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<T> Ord for Entry<T> {
+impl Ord for Entry {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         (self.at, self.tiebreak).cmp(&(other.at, other.tiebreak))
     }
@@ -127,7 +145,7 @@ impl<T> Ord for Entry<T> {
 /// lose 10–25% on the `dis_scenario_1000x30` workload, 24 is within
 /// noise of 22. The scenario's dominant deltas (5–80 ms links, 250 ms
 /// heartbeat) land in level 0 at 22 with small enough buckets that the
-/// ready-list batch sort stays cheap.
+/// open-tick heapify stays cheap.
 const GRANULARITY_SHIFT: u32 = 22;
 /// log2 of the slots per level.
 const LEVEL_BITS: u32 = 8;
@@ -141,14 +159,14 @@ const WORDS: usize = SLOTS / 64;
 
 /// One wheel level: `SLOTS` buckets plus an occupancy bitmap so the next
 /// occupied bucket is found by word scans, not a slot walk.
-struct Level<T> {
-    slots: Vec<Vec<Entry<T>>>,
+struct Level {
+    slots: Vec<Vec<Entry>>,
     occupied: [u64; WORDS],
     count: usize,
 }
 
-impl<T> Level<T> {
-    fn new() -> Level<T> {
+impl Level {
+    fn new() -> Level {
         Level {
             slots: (0..SLOTS).map(|_| Vec::new()).collect(),
             occupied: [0; WORDS],
@@ -201,7 +219,7 @@ fn next_occupied(occ: &[u64; WORDS], idx: usize) -> Option<(u64, usize)> {
 }
 
 /// The hierarchical timer wheel.
-struct Wheel<T> {
+struct Wheel {
     /// The open tick: events at `tick <= cur` live in `near`.
     cur: u64,
     /// Events inside the open tick, a min-heap on `(at, tiebreak)`.
@@ -213,14 +231,14 @@ struct Wheel<T> {
     /// into O(n²) memmoves. A binary heap keeps the burst at
     /// O(n log n) while popping the identical `(at, tiebreak)` order
     /// (tiebreaks are unique, so heap ordering is total).
-    near: BinaryHeap<Reverse<Entry<T>>>,
-    levels: Vec<Level<T>>,
+    near: BinaryHeap<Reverse<Entry>>,
+    levels: Vec<Level>,
     /// Events resident in wheel slots (excludes `near`).
     resident: usize,
 }
 
-impl<T> Wheel<T> {
-    fn new() -> Wheel<T> {
+impl Wheel {
+    fn new() -> Wheel {
         Wheel {
             cur: 0,
             near: BinaryHeap::new(),
@@ -229,7 +247,7 @@ impl<T> Wheel<T> {
         }
     }
 
-    fn push(&mut self, e: Entry<T>) {
+    fn push(&mut self, e: Entry) {
         let tick = e.at.nanos() >> GRANULARITY_SHIFT;
         if tick <= self.cur {
             self.near.push(Reverse(e));
@@ -303,7 +321,7 @@ impl<T> Wheel<T> {
         }
     }
 
-    fn pop(&mut self) -> Option<Entry<T>> {
+    fn pop(&mut self) -> Option<Entry> {
         loop {
             if let Some(Reverse(e)) = self.near.pop() {
                 self.resident_check();
@@ -332,9 +350,9 @@ impl<T> Wheel<T> {
     }
 }
 
-enum Backend<T> {
-    Heap(BinaryHeap<Reverse<Entry<T>>>),
-    Wheel(Wheel<T>),
+enum Backend {
+    Heap(BinaryHeap<Reverse<Entry>>),
+    Wheel(Wheel),
 }
 
 /// Tiebreak bit marking auto-assigned (push-order) keys. Caller-provided
@@ -342,16 +360,89 @@ enum Backend<T> {
 /// two key spaces never collide even when mixed in one queue.
 const AUTO_KEY_BIT: u128 = 1 << 127;
 
+/// log2 of the payload slots per slab chunk (512 × the simulator's
+/// 96-byte payload = 48 KiB).
+const CHUNK_BITS: u32 = 9;
+/// Payload slots per slab chunk.
+const CHUNK: usize = 1 << CHUNK_BITS;
+
+/// The queue's payload store. Slots live in fixed-size chunks that
+/// never move, so growing the slab allocates one more chunk instead of
+/// copying every queued payload: with one flat `Vec`, the doubling
+/// copies made building a paper-scale world (which schedules the run's
+/// whole update script) about 13% slower.
+struct Slab<T> {
+    /// Full chunks, then a partly filled last one; `None` marks a slot
+    /// on the free list.
+    chunks: Vec<Vec<Option<T>>>,
+    /// Vacated slots, reused last-in first-out before the slab grows.
+    free: Vec<u32>,
+}
+
+impl<T> Slab<T> {
+    fn new() -> Slab<T> {
+        Slab {
+            chunks: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+
+    /// Slots handed out so far, occupied or free.
+    fn slots(&self) -> usize {
+        self.chunks
+            .last()
+            .map_or(0, |last| (self.chunks.len() - 1) * CHUNK + last.len())
+    }
+
+    /// Occupied slots.
+    fn len(&self) -> usize {
+        self.slots() - self.free.len()
+    }
+
+    fn slot_mut(&mut self, slot: u32) -> &mut Option<T> {
+        &mut self.chunks[(slot >> CHUNK_BITS) as usize][slot as usize & (CHUNK - 1)]
+    }
+
+    fn insert(&mut self, item: T) -> u32 {
+        if let Some(slot) = self.free.pop() {
+            *self.slot_mut(slot) = Some(item);
+            return slot;
+        }
+        let slot = u32::try_from(self.slots()).expect("more than 2^32 queued events");
+        match self.chunks.last_mut() {
+            Some(last) if last.len() < CHUNK => last.push(Some(item)),
+            _ => {
+                let mut chunk = Vec::with_capacity(CHUNK);
+                chunk.push(Some(item));
+                self.chunks.push(chunk);
+            }
+        }
+        slot
+    }
+
+    fn remove(&mut self, slot: u32) -> T {
+        let item = self
+            .slot_mut(slot)
+            .take()
+            .expect("queued entry names an occupied slot");
+        self.free.push(slot);
+        item
+    }
+}
+
 /// The simulator's future-event queue: events pop in strictly increasing
 /// `(deadline, tiebreak)` under either backend. [`EventQueue::push`]
 /// assigns tiebreaks in push order (FIFO within a deadline);
 /// [`EventQueue::push_keyed`] lets the caller supply the tiebreak, which
 /// is how the sharded [`crate::world::World`] imposes one global,
 /// placement-invariant event order across per-shard queues.
+///
+/// Payloads live in a chunked slab indexed by the entries' `slot` (see the
+/// module docs); the backend orders only the 32-byte entries.
 pub struct EventQueue<T> {
     tiebreak: u64,
-    len: usize,
-    backend: Backend<T>,
+    backend: Backend,
+    slab: Slab<T>,
 }
 
 impl<T> EventQueue<T> {
@@ -359,11 +450,11 @@ impl<T> EventQueue<T> {
     pub fn new(backend: QueueBackend) -> EventQueue<T> {
         EventQueue {
             tiebreak: 0,
-            len: 0,
             backend: match backend {
                 QueueBackend::Heap => Backend::Heap(BinaryHeap::new()),
                 QueueBackend::Wheel => Backend::Wheel(Wheel::new()),
             },
+            slab: Slab::new(),
         }
     }
 
@@ -396,8 +487,8 @@ impl<T> EventQueue<T> {
     }
 
     fn push_entry(&mut self, at: SimTime, tiebreak: u128, item: T) {
-        let e = Entry { at, tiebreak, item };
-        self.len += 1;
+        let slot = self.slab.insert(item);
+        let e = Entry { at, tiebreak, slot };
         match &mut self.backend {
             Backend::Heap(h) => h.push(Reverse(e)),
             Backend::Wheel(w) => w.push(e),
@@ -415,8 +506,7 @@ impl<T> EventQueue<T> {
             Backend::Heap(h) => h.pop().map(|Reverse(e)| e),
             Backend::Wheel(w) => w.pop(),
         }?;
-        self.len -= 1;
-        Some((e.at, e.tiebreak, e.item))
+        Some((e.at, e.tiebreak, self.slab.remove(e.slot)))
     }
 
     /// Deadline of the earliest event without removing it. (`&mut`
@@ -431,12 +521,12 @@ impl<T> EventQueue<T> {
 
     /// Number of scheduled events (bucket-resident ones included).
     pub fn len(&self) -> usize {
-        self.len
+        self.slab.len()
     }
 
     /// `true` when nothing is scheduled.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 }
 
@@ -502,6 +592,53 @@ mod tests {
             let w = drive(&mut wheel, &mut s2);
             assert_eq!(h, w, "seed {seed}: wheel must replay the heap exactly");
         }
+    }
+
+    /// Vacated payload slots are reused before the slab grows: under
+    /// interleaved push/pop churn the slab never holds more slots than
+    /// the peak queue depth, and the slab-backed wheel still pops
+    /// exactly what the heap does.
+    #[test]
+    fn slab_stays_within_peak_depth_under_churn() {
+        let mut heap: EventQueue<u64> = EventQueue::new(QueueBackend::Heap);
+        let mut wheel: EventQueue<u64> = EventQueue::new(QueueBackend::Wheel);
+        let mut s = 0x5EED_u64;
+        let mut now = SimTime::ZERO;
+        let mut peak = 0;
+        let mut id = 0u64;
+        for round in 0..2_000 {
+            // Bursts of pushes (a multicast fan-out), then a few pops.
+            let burst = splitmix(&mut s) % if round % 50 == 0 { 200 } else { 6 };
+            for _ in 0..burst {
+                let at = now + Duration::from_nanos(splitmix(&mut s) % 400_000_000);
+                heap.push(at, id);
+                wheel.push(at, id);
+                id += 1;
+            }
+            peak = peak.max(wheel.len());
+            for _ in 0..splitmix(&mut s) % 8 {
+                let h = heap.pop();
+                assert_eq!(h, wheel.pop(), "round {round}");
+                let Some((at, _)) = h else { break };
+                now = at;
+            }
+            for q in [&heap, &wheel] {
+                let slots = q.slab.slots();
+                assert!(slots <= peak, "slab {slots} > peak {peak}");
+                assert_eq!(q.len(), slots - q.slab.free.len());
+            }
+        }
+        assert!(peak > 2 * CHUNK, "the churn spans several slab chunks");
+        while let Some(h) = heap.pop() {
+            assert_eq!(Some(h), wheel.pop());
+        }
+        assert!(wheel.pop().is_none());
+        assert_eq!(
+            wheel.slab.slots(),
+            peak,
+            "every slot vacated, none beyond the peak"
+        );
+        assert_eq!(wheel.slab.free.len(), peak);
     }
 
     #[test]

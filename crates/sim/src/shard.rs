@@ -48,7 +48,7 @@ use lbrm_wire::{GroupId, HostId, Packet, SiteId, TtlScope};
 use crate::queue::EventQueue;
 use crate::stats::{BundleMeter, NetStats};
 use crate::time::SimTime;
-use crate::topology::SiteNet;
+use crate::topology::{Delivery, SiteNet};
 use crate::world::Actor;
 
 /// A scheduled simulator event.
@@ -144,6 +144,12 @@ pub(crate) struct Shard {
     /// Trace records captured during the current window, tagged for the
     /// coordinator's head merge (in true pop/emission order).
     pub trace_buf: Vec<BufRecord>,
+    /// Scratch for one send's or ingress's surviving LAN copies, kept
+    /// (empty) between uses so the fan-out path does not allocate.
+    pub deliveries: Vec<Delivery>,
+    /// Scratch for one multicast's surviving WAN branches (destination
+    /// site, ingress time).
+    pub branches: Vec<(SiteId, SimTime)>,
 }
 
 impl Shard {
@@ -174,6 +180,8 @@ impl Shard {
             busy_ns: 0,
             outbox: Vec::new(),
             trace_buf: Vec::new(),
+            deliveries: Vec::new(),
+            branches: Vec::new(),
         }
     }
 

@@ -14,7 +14,7 @@
 //! protocol-visible traffic model is identical across `LBRM_BUNDLE`
 //! legs (pinned by a differential test), and only this ledger differs.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use lbrm_wire::bundle::{
     BundleMode, BUNDLE_HEADER_LEN, DEFAULT_BUNDLE_MTU, ENTRY_PREFIX_LEN, MAX_BUNDLE_PACKETS,
@@ -36,6 +36,9 @@ pub enum SegmentClass {
     Wan,
 }
 
+/// Number of [`SegmentClass`] variants: the width of a counter row.
+const CLASSES: usize = 4;
+
 /// Carried/dropped counters for one key.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Counter {
@@ -47,11 +50,64 @@ pub struct Counter {
     pub dropped: u64,
 }
 
+impl Counter {
+    fn bump(&mut self, bytes: usize, dropped: bool) {
+        if dropped {
+            self.dropped += 1;
+        } else {
+            self.carried += 1;
+            self.bytes += bytes as u64;
+        }
+    }
+
+    /// Every traversal bumps `carried` or `dropped`, so a zero counter
+    /// is one that never saw a traversal.
+    fn is_zero(&self) -> bool {
+        self.carried == 0 && self.dropped == 0
+    }
+}
+
+/// One packet kind's counters on each segment class, indexed by
+/// [`SegmentClass`].
+type Row = [Counter; CLASSES];
+
+/// Everything counted for one packet kind.
+#[derive(Clone)]
+struct KindCounters {
+    kind: &'static str,
+    /// Totals per segment class.
+    total: Row,
+    /// Per-site counters, by site index (grown on demand; a missing row
+    /// is all zeros).
+    by_site: Vec<Row>,
+}
+
+impl KindCounters {
+    fn site(&self, site: usize) -> Row {
+        self.by_site.get(site).copied().unwrap_or_default()
+    }
+
+    fn site_mut(&mut self, site: usize) -> &mut Row {
+        if self.by_site.len() <= site {
+            self.by_site.resize(site + 1, Row::default());
+        }
+        &mut self.by_site[site]
+    }
+}
+
 /// Aggregated network statistics for a simulation run.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// Counters are dense: packet kinds are interned on first sight and
+/// each kind keeps flat per-class and per-site rows, so recording a
+/// traversal is a short scan of the (handful of) kinds plus array
+/// indexing — no hashing on the per-copy path — and a ledger is one
+/// allocation per kind. Equality compares the counters of every
+/// (class, site, kind) key and ignores the interning order, which
+/// differs between shards that meet the kinds in different orders.
+#[derive(Clone, Default)]
 pub struct NetStats {
-    by_class: HashMap<(SegmentClass, &'static str), Counter>,
-    by_site_tail: HashMap<(SiteId, SegmentClass, &'static str), Counter>,
+    /// Per-kind counters, in first-seen order.
+    kinds: Vec<KindCounters>,
 }
 
 impl NetStats {
@@ -64,49 +120,78 @@ impl NetStats {
         bytes: usize,
         dropped: bool,
     ) {
-        let c = self.by_class.entry((class, kind)).or_default();
-        if dropped {
-            c.dropped += 1;
-        } else {
-            c.carried += 1;
-            c.bytes += bytes as u64;
-        }
+        let k = self.intern(kind);
+        let kc = &mut self.kinds[k];
+        kc.total[class as usize].bump(bytes, dropped);
         if let Some(site) = site {
-            let c = self.by_site_tail.entry((site, class, kind)).or_default();
-            if dropped {
-                c.dropped += 1;
-            } else {
-                c.carried += 1;
-                c.bytes += bytes as u64;
+            kc.site_mut(site.raw() as usize)[class as usize].bump(bytes, dropped);
+        }
+    }
+
+    /// Index of `kind`, interning it if new. Kinds are `'static` labels,
+    /// so the pointer test nearly always decides; the string test keeps
+    /// two copies of one label a single kind.
+    fn intern(&mut self, kind: &'static str) -> usize {
+        if let Some(k) = self.kinds.iter().position(|c| std::ptr::eq(c.kind, kind)) {
+            return k;
+        }
+        if let Some(k) = self.index_of(kind) {
+            return k;
+        }
+        self.kinds.push(KindCounters {
+            kind,
+            total: Row::default(),
+            by_site: Vec::new(),
+        });
+        self.kinds.len() - 1
+    }
+
+    fn index_of(&self, kind: &str) -> Option<usize> {
+        self.kinds.iter().position(|c| c.kind == kind)
+    }
+
+    fn get(&self, kind: &str) -> Option<&KindCounters> {
+        self.index_of(kind).map(|k| &self.kinds[k])
+    }
+
+    /// Every nonzero counter keyed by `(site, class, kind)` (`site` is
+    /// `None` for the per-class totals): the interning-order-free view
+    /// that equality and `Debug` use.
+    fn canonical(&self) -> BTreeMap<(Option<usize>, usize, &'static str), Counter> {
+        let mut out = BTreeMap::new();
+        for kc in &self.kinds {
+            let rows = std::iter::once((None, &kc.total))
+                .chain(kc.by_site.iter().enumerate().map(|(s, r)| (Some(s), r)));
+            for (site, row) in rows {
+                for (class, c) in row.iter().enumerate() {
+                    if !c.is_zero() {
+                        out.insert((site, class, kc.kind), *c);
+                    }
+                }
             }
         }
+        out
     }
 
     /// Counter for a segment class and packet kind.
     pub fn class_kind(&self, class: SegmentClass, kind: &str) -> Counter {
-        self.by_class
-            .iter()
-            .filter(|((c, k), _)| *c == class && *k == kind)
-            .map(|(_, v)| *v)
-            .fold(Counter::default(), add)
+        self.get(kind)
+            .map_or_else(Counter::default, |kc| kc.total[class as usize])
     }
 
     /// Total counter for a segment class across all packet kinds.
     pub fn class_total(&self, class: SegmentClass) -> Counter {
-        self.by_class
+        self.kinds
             .iter()
-            .filter(|((c, _), _)| *c == class)
-            .map(|(_, v)| *v)
+            .map(|kc| kc.total[class as usize])
             .fold(Counter::default(), add)
     }
 
     /// Counter for one site's tail circuit in one direction and kind.
     pub fn site_tail(&self, site: SiteId, class: SegmentClass, kind: &str) -> Counter {
-        self.by_site_tail
-            .iter()
-            .filter(|((s, c, k), _)| *s == site && *c == class && *k == kind)
-            .map(|(_, v)| *v)
-            .fold(Counter::default(), add)
+        self.get(kind).map_or_else(Counter::default, |kc| {
+            kc.site(site.raw() as usize)[class as usize]
+        })
     }
 
     /// Folds another accounting into this one (counter-wise sums over
@@ -114,13 +199,13 @@ impl NetStats {
     /// sharded world can accumulate per-shard `NetStats` independently
     /// and merge them in any order with one deterministic result.
     pub fn merge(&mut self, other: &NetStats) {
-        for (k, v) in &other.by_class {
-            let c = self.by_class.entry(*k).or_default();
-            *c = add(*c, *v);
-        }
-        for (k, v) in &other.by_site_tail {
-            let c = self.by_site_tail.entry(*k).or_default();
-            *c = add(*c, *v);
+        for theirs in &other.kinds {
+            let k = self.intern(theirs.kind);
+            let mine = &mut self.kinds[k];
+            add_row(&mut mine.total, &theirs.total);
+            for (site, row) in theirs.by_site.iter().enumerate() {
+                add_row(mine.site_mut(site), row);
+            }
         }
     }
 
@@ -128,13 +213,33 @@ impl NetStats {
     /// deterministic reporting).
     pub fn kinds_on(&self, class: SegmentClass) -> Vec<(&'static str, Counter)> {
         let mut v: Vec<_> = self
-            .by_class
+            .kinds
             .iter()
-            .filter(|((c, _), _)| *c == class)
-            .map(|((_, k), ctr)| (*k, *ctr))
+            .map(|kc| (kc.kind, kc.total[class as usize]))
+            .filter(|(_, c)| !c.is_zero())
             .collect();
         v.sort_by_key(|(k, _)| *k);
         v
+    }
+}
+
+impl PartialEq for NetStats {
+    fn eq(&self, other: &NetStats) -> bool {
+        self.canonical() == other.canonical()
+    }
+}
+
+impl Eq for NetStats {}
+
+impl std::fmt::Debug for NetStats {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_map().entries(self.canonical()).finish()
+    }
+}
+
+fn add_row(into: &mut Row, from: &Row) {
+    for (a, b) in into.iter_mut().zip(from) {
+        *a = add(*a, *b);
     }
 }
 
@@ -349,6 +454,76 @@ mod tests {
                 .dropped,
             1
         );
+    }
+
+    /// Shards meet packet kinds in different orders, so the interning
+    /// order differs between ledgers that hold the same counts: equality
+    /// and merge must not see it.
+    #[test]
+    fn equality_and_merge_ignore_kind_first_seen_order() {
+        let traversals = [
+            (SegmentClass::Lan, Some(SiteId(2)), "data", 100, false),
+            (SegmentClass::TailIn, Some(SiteId(5)), "nack", 40, true),
+            (SegmentClass::Wan, None, "heartbeat", 30, false),
+            (
+                SegmentClass::TailOut,
+                Some(SiteId(0)),
+                "retrans",
+                120,
+                false,
+            ),
+            (SegmentClass::Lan, Some(SiteId(2)), "nack", 40, false),
+        ];
+        let mut a = NetStats::default();
+        for &(class, site, kind, bytes, dropped) in &traversals {
+            a.record(class, site, kind, bytes, dropped);
+        }
+        let mut b = NetStats::default();
+        for &(class, site, kind, bytes, dropped) in traversals.iter().rev() {
+            b.record(class, site, kind, bytes, dropped);
+        }
+        let order = |s: &NetStats| s.kinds.iter().map(|kc| kc.kind).collect::<Vec<_>>();
+        assert_ne!(
+            order(&a),
+            order(&b),
+            "the ledgers interned in different orders"
+        );
+        assert_eq!(a, b);
+
+        // A kind spelled by a different `'static` copy is the same kind.
+        let mut c = NetStats::default();
+        c.record(SegmentClass::Wan, None, "heartbeat", 30, false);
+        c.record(
+            SegmentClass::Wan,
+            None,
+            String::from("heartbeat").leak(),
+            30,
+            false,
+        );
+        assert_eq!(c.kinds_on(SegmentClass::Wan).len(), 1);
+        assert_eq!(c.class_kind(SegmentClass::Wan, "heartbeat").carried, 2);
+
+        let mut e = NetStats::default();
+        e.record(SegmentClass::Wan, None, "data", 100, false);
+        e.record(SegmentClass::TailIn, Some(SiteId(5)), "repair", 90, false);
+        e.record(SegmentClass::TailIn, Some(SiteId(7)), "nack", 40, false);
+        let mut ae = a.clone();
+        ae.merge(&e);
+        let mut ea = e.clone();
+        ea.merge(&a);
+        assert_eq!(ae, ea, "merge must be commutative");
+        assert_eq!(ae.class_kind(SegmentClass::TailIn, "nack").dropped, 1);
+        assert_eq!(
+            ae.site_tail(SiteId(7), SegmentClass::TailIn, "nack")
+                .carried,
+            1
+        );
+        assert_eq!(
+            ae.site_tail(SiteId(5), SegmentClass::TailIn, "repair")
+                .bytes,
+            90
+        );
+        assert_ne!(ae, a, "a merged ledger differs from its part");
     }
 
     #[test]

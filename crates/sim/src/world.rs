@@ -52,7 +52,7 @@ use crate::queue::QueueBackend;
 use crate::shard::{capture_activate, capture_take, forward_merged, Ev, IngressKind, Shard};
 use crate::stats::{BundleStats, NetStats, SegmentClass};
 use crate::time::SimTime;
-use crate::topology::{Delivery, SiteNet, Topology};
+use crate::topology::{SiteNet, Topology};
 
 /// A protocol endpoint living on one simulated host.
 ///
@@ -201,8 +201,10 @@ impl Ctx<'_> {
         let fs_idx = fs.raw() as usize;
         let site_count = self.topo.site_count();
 
-        let mut deliveries: Vec<Delivery> = Vec::new();
-        let mut branches: Vec<(SiteId, SimTime)> = Vec::new();
+        // Shard scratch lists, taken out so the fan-out below can borrow
+        // the rest of the shard; they keep their capacity across sends.
+        let mut deliveries = std::mem::take(&mut self.shard.deliveries);
+        let mut branches = std::mem::take(&mut self.shard.branches);
         {
             let Shard {
                 nets,
@@ -247,7 +249,7 @@ impl Ctx<'_> {
 
         let copies = (deliveries.len() + branches.len()).min(u32::MAX as usize) as u32;
         self.emit_net(kind, true, copies);
-        for d in deliveries {
+        for d in deliveries.drain(..) {
             self.push(
                 d.at,
                 fs,
@@ -258,7 +260,7 @@ impl Ctx<'_> {
                 },
             );
         }
-        for (sid, t_in) in branches {
+        for (sid, t_in) in branches.drain(..) {
             self.push(
                 t_in,
                 sid,
@@ -270,6 +272,8 @@ impl Ctx<'_> {
                 },
             );
         }
+        self.shard.deliveries = deliveries;
+        self.shard.branches = branches;
     }
 
     fn emit_net(&self, kind: &'static str, multicast: bool, copies: u32) {
@@ -331,7 +335,9 @@ fn dispatch(
         return;
     };
     let mut rng = shard.rngs[idx].take().expect("host rng");
-    let tracer = shard.tracer.clone();
+    // Moved out and back like the actor: a clone would bump the sink's
+    // reference count twice per event.
+    let tracer = std::mem::take(&mut shard.tracer);
     let mut ctx = Ctx {
         host,
         now: at,
@@ -343,6 +349,7 @@ fn dispatch(
     f(actor.as_mut(), &mut ctx);
     shard.actors[idx] = Some(actor);
     shard.rngs[idx] = Some(rng);
+    shard.tracer = tracer;
 }
 
 /// Destination half of a cross-site transmission: the copy crosses the
@@ -362,7 +369,7 @@ fn ingress(
     let bytes = packet.encoded_len();
     let pkind = packet.kind();
     let si = site.raw() as usize;
-    let mut deliveries: Vec<Delivery> = Vec::new();
+    let mut deliveries = std::mem::take(&mut shard.deliveries);
     {
         let Shard {
             members,
@@ -394,7 +401,7 @@ fn ingress(
     // Pushes made while evaluating a site's ingress are keyed to the
     // site's pseudo-entity: placement-invariant like everything else.
     let entity = (topo.host_count() + si) as u64;
-    for d in deliveries {
+    for d in deliveries.drain(..) {
         shard.push_from(
             entity,
             d.at,
@@ -406,6 +413,7 @@ fn ingress(
             },
         );
     }
+    shard.deliveries = deliveries;
 }
 
 /// Processes one event on its shard. With `capture` set (worker

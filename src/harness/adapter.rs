@@ -59,6 +59,9 @@ pub struct MachineActor<M: Machine> {
     script: Vec<(SimTime, Option<AppCall<M>>)>,
     /// Earliest armed poll timer, to avoid flooding the queue.
     armed: Option<Time>,
+    /// The machine's action buffer, reused across calls: every handler
+    /// fills it and [`MachineActor::execute`] drains it.
+    out: Actions,
     /// Deliveries observed, with arrival time.
     pub deliveries: Vec<(SimTime, Delivery)>,
     /// Notices observed, with emission time.
@@ -78,6 +81,7 @@ impl<M: Machine + 'static> MachineActor<M> {
             joins: groups,
             script: Vec::new(),
             armed: None,
+            out: Actions::new(),
             deliveries: Vec::new(),
             notices: Vec::new(),
             sent_unicast: std::collections::HashMap::new(),
@@ -116,8 +120,17 @@ impl<M: Machine + 'static> MachineActor<M> {
         &mut self.machine
     }
 
-    fn execute(&mut self, ctx: &mut Ctx<'_>, actions: Actions) {
-        for action in actions {
+    /// Runs one machine call against the reused action buffer, then
+    /// executes what it emitted.
+    fn run(&mut self, ctx: &mut Ctx<'_>, call: impl FnOnce(&mut M, &mut Actions)) {
+        let mut out = std::mem::take(&mut self.out);
+        call(&mut self.machine, &mut out);
+        self.execute(ctx, &mut out);
+        self.out = out;
+    }
+
+    fn execute(&mut self, ctx: &mut Ctx<'_>, actions: &mut Actions) {
+        for action in actions.drain(..) {
             match action {
                 Action::Unicast { to, packet } => {
                     *self.sent_unicast.entry(packet.kind()).or_insert(0) += 1;
@@ -154,38 +167,35 @@ impl<M: Machine + Send + 'static> Actor for MachineActor<M> {
         for (i, (at, _)) in self.script.iter().enumerate() {
             ctx.set_timer_at(*at, i as u64 + 1);
         }
-        let mut out = Actions::new();
-        self.machine.on_start(to_core(ctx.now()), &mut out);
-        self.execute(ctx, out);
+        let now = to_core(ctx.now());
+        self.run(ctx, |m, out| m.on_start(now, out));
     }
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, from: HostId, packet: Packet) {
-        let mut out = Actions::new();
-        self.machine
-            .on_packet(to_core(ctx.now()), from, packet, &mut out);
-        self.execute(ctx, out);
+        let now = to_core(ctx.now());
+        self.run(ctx, |m, out| m.on_packet(now, from, packet, out));
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         let now = to_core(ctx.now());
-        let mut out = Actions::new();
         if token == POLL_TOKEN {
             if self.armed.is_some_and(|a| a <= now) {
                 self.armed = None;
             }
-            self.machine.poll(now, &mut out);
+            self.run(ctx, |m, out| m.poll(now, out));
         } else {
             let idx = (token - 1) as usize;
-            if let Some((_, slot)) = self.script.get_mut(idx) {
-                if let Some(mut call) = slot.take() {
-                    call(&mut self.machine, now, &mut out);
+            let call = self.script.get_mut(idx).and_then(|(_, slot)| slot.take());
+            self.run(ctx, |m, out| {
+                if let Some(mut call) = call {
+                    call(m, now, out);
                 }
-            }
-            // Application calls can create work (e.g. heartbeat
-            // scheduling), and the machine may also have due poll work.
-            self.machine.poll(now, &mut out);
+                // Application calls can create work (e.g. heartbeat
+                // scheduling), and the machine may also have due poll
+                // work.
+                m.poll(now, out);
+            });
         }
-        self.execute(ctx, out);
     }
 }
 
