@@ -32,7 +32,9 @@
 //! The default engine is the streaming correlator (`--stream`): one
 //! record at a time in bounded memory, with `--max-live-timelines` /
 //! `--horizon-ms` / `--reservoir` controlling eviction and sampling.
-//! `--batch` selects the materializing reference analyzer instead.
+//! `--batch` instead collects every record, sorts them by timestamp and
+//! folds them through the same correlator exactly (no cap, no horizon,
+//! unbounded reservoirs).
 //! `--mem-budget` exits nonzero when the analyzer's peak resident state
 //! exceeds the budget (the CI memory gate); `--assert-clean` exits
 //! nonzero on any anomaly. `--sites`/`--receivers`/`--packets` scale
@@ -61,7 +63,7 @@ struct Args {
     assert_clean: bool,
     stream: bool,
     max_live_timelines: Option<usize>,
-    horizon_ms: Option<u64>,
+    horizon_nanos: Option<u64>,
     reservoir: Option<usize>,
     mem_budget: Option<u64>,
     sites: Option<u32>,
@@ -89,7 +91,7 @@ fn parse_args() -> Result<Args, String> {
         assert_clean: false,
         stream: true,
         max_live_timelines: None,
-        horizon_ms: None,
+        horizon_nanos: None,
         reservoir: None,
         mem_budget: None,
         sites: None,
@@ -133,11 +135,12 @@ fn parse_args() -> Result<Args, String> {
                 );
             }
             "--horizon-ms" => {
-                args.horizon_ms = Some(
-                    next_val("--horizon-ms", &mut it)?
-                        .parse()
-                        .map_err(|e| format!("--horizon-ms: {e}"))?,
-                );
+                let ms: u64 = next_val("--horizon-ms", &mut it)?
+                    .parse()
+                    .map_err(|e| format!("--horizon-ms: {e}"))?;
+                args.horizon_nanos = Some(ms.checked_mul(1_000_000).ok_or(format!(
+                    "--horizon-ms: {ms} ms overflows the nanosecond clock"
+                ))?);
             }
             "--reservoir" => {
                 args.reservoir = Some(
@@ -243,7 +246,7 @@ fn online_config(args: &Args) -> OnlineConfig {
     let mut cfg = OnlineConfig {
         analyze: AnalyzeConfig::default(),
         max_live_timelines: args.max_live_timelines,
-        horizon_nanos: args.horizon_ms.map(|ms| ms * 1_000_000),
+        horizon_nanos: args.horizon_nanos,
         ..OnlineConfig::default()
     };
     if let Some(r) = args.reservoir {

@@ -24,7 +24,9 @@ use lbrm::harness::{DisScenario, DisScenarioConfig, MachineActor};
 use lbrm_core::logger::{Logger, LoggerConfig};
 use lbrm_core::machine::Notice;
 use lbrm_core::sender::Sender;
-use lbrm_core::trace::analyze::{analyze, AnalyzeConfig, CollectorSink, RecoveryReport};
+use lbrm_core::trace::analyze::{
+    analyze, AnalyzeConfig, CollectorSink, RecoveryReport, TraceRecord,
+};
 use lbrm_core::trace::{TraceSink, Tracer};
 use lbrm_sim::loss::LossModel;
 use lbrm_sim::queue::QueueBackend;
@@ -157,6 +159,20 @@ fn restart_replica(sc: &mut DisScenario, host: lbrm_wire::HostId, sink: Arc<dyn 
 ///
 /// On an unknown shape name.
 pub fn run_shape(shape: &'static str, seed: u64, backend: QueueBackend) -> ChaosOutcome {
+    run_shape_with_capture(shape, seed, backend).0
+}
+
+/// [`run_shape`], also returning the trace capture the cell's report
+/// was analyzed from.
+///
+/// # Panics
+///
+/// On an unknown shape name.
+pub fn run_shape_with_capture(
+    shape: &'static str,
+    seed: u64,
+    backend: QueueBackend,
+) -> (ChaosOutcome, Vec<TraceRecord>) {
     let collector = Arc::new(CollectorSink::default());
     let mut sc = DisScenario::build_with_sink(
         chaos_config(seed, backend),
@@ -241,7 +257,7 @@ pub fn run_shape(shape: &'static str, seed: u64, backend: QueueBackend) -> Chaos
         .iter()
         .filter(|(_, n)| matches!(n, Notice::TermElected { .. }))
         .count();
-    ChaosOutcome {
+    let outcome = ChaosOutcome {
         shape,
         seed,
         backend,
@@ -250,7 +266,8 @@ pub fn run_shape(shape: &'static str, seed: u64, backend: QueueBackend) -> Chaos
         fenced_rejects: report.fenced_rejects,
         records: records.len(),
         report,
-    }
+    };
+    (outcome, records)
 }
 
 /// Runs the full matrix: every shape crossed with `seeds` × `backends`.

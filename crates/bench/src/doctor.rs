@@ -1,19 +1,21 @@
 //! Recovery forensics: the shared driver behind the `trace_doctor`
 //! binary and the experiments' self-audit.
 //!
-//! Two engines produce the same [`RecoveryReport`]: the streaming
-//! [`OnlineAnalyzer`] (the default — one record at a time in bounded
+//! There is one correlator, the [`OnlineAnalyzer`], driven two ways.
+//! Streaming (the default) pushes one record at a time in bounded
 //! memory, whether replaying a `JsonLinesSink` capture or plugged
-//! straight into a live [`DisScenario`] as a sink) and the batch
-//! [`lbrm_core::trace::analyze::analyze`] reference it is
-//! differentially tested against.
+//! straight into a live [`DisScenario`] as a sink. Batch
+//! ([`lbrm_core::trace::analyze::analyze`]) collects the records, sorts
+//! them by timestamp and folds them through the same correlator with
+//! no cap, no horizon and unbounded reservoirs, so its histograms and
+//! timelines are exact.
 
 use std::io::BufRead;
 use std::sync::Arc;
 use std::time::Duration;
 
 use lbrm::harness::{DisScenario, DisScenarioConfig};
-use lbrm_core::trace::analyze::{analyze, AnalyzeConfig, RecoveryReport};
+use lbrm_core::trace::analyze::{analyze, read_json_lines, AnalyzeConfig, RecoveryReport};
 use lbrm_core::trace::{
     CollectorSink, FanoutSink, OnlineAnalyzer, OnlineAnalyzerSink, OnlineConfig, TraceSink,
 };
@@ -45,42 +47,24 @@ impl DoctorRun {
 
 /// Replays a `JsonLinesSink` capture held in memory.
 pub fn analyze_jsonl(text: &str, cfg: &AnalyzeConfig) -> DoctorRun {
-    let (records, skipped) = lbrm_core::trace::analyze::parse_json_lines(text);
-    DoctorRun {
-        report: analyze(&records, cfg),
-        records: records.len(),
-        skipped,
-    }
+    analyze_jsonl_reader(text.as_bytes(), cfg).expect("reading from memory cannot fail")
 }
 
 /// Replays a `JsonLinesSink` capture from a buffered reader, one line at
-/// a time through a reused buffer — `trace_doctor` uses this so a
+/// a time through a reused buffer (see [`read_json_lines`]) — so a
 /// million-event capture costs the parsed records, never a second copy
-/// of the whole file as text. Line handling (blank lines ignored,
-/// malformed non-blank lines counted as skipped) matches
-/// [`analyze_jsonl`] exactly.
+/// of the whole file as text — then sorts and folds them with
+/// [`analyze`] (`trace_doctor --batch`).
+///
+/// # Errors
+///
+/// Propagates reader I/O errors.
 pub fn analyze_jsonl_reader<R: BufRead>(
-    mut reader: R,
+    reader: R,
     cfg: &AnalyzeConfig,
 ) -> std::io::Result<DoctorRun> {
     let mut records = Vec::new();
-    let mut skipped = 0usize;
-    let mut line = String::new();
-    loop {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
-            break;
-        }
-        let l = line.strip_suffix('\n').unwrap_or(&line);
-        let l = l.strip_suffix('\r').unwrap_or(l);
-        if l.trim().is_empty() {
-            continue;
-        }
-        match lbrm_core::trace::analyze::parse_json_line(l) {
-            Some(r) => records.push(r),
-            None => skipped += 1,
-        }
-    }
+    let skipped = read_json_lines(reader, |r| records.push(r))?;
     Ok(DoctorRun {
         report: analyze(&records, cfg),
         records: records.len(),
@@ -91,31 +75,18 @@ pub fn analyze_jsonl_reader<R: BufRead>(
 /// Replays a `JsonLinesSink` capture from a buffered reader through the
 /// streaming [`OnlineAnalyzer`]: each parsed line is pushed and
 /// dropped, so the whole pass holds one line buffer, the open
-/// timelines, and the analyzer's bounded reservoirs — never the record
-/// vector the batch path materializes. This is `trace_doctor`'s default
-/// engine (`--stream`).
+/// timelines, and the analyzer's bounded reservoirs — never a record
+/// vector. This is `trace_doctor`'s default engine (`--stream`).
+///
+/// # Errors
+///
+/// Propagates reader I/O errors.
 pub fn analyze_jsonl_reader_online<R: BufRead>(
-    mut reader: R,
+    reader: R,
     cfg: OnlineConfig,
 ) -> std::io::Result<DoctorRun> {
     let mut analyzer = OnlineAnalyzer::new(cfg);
-    let mut skipped = 0usize;
-    let mut line = String::new();
-    loop {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
-            break;
-        }
-        let l = line.strip_suffix('\n').unwrap_or(&line);
-        let l = l.strip_suffix('\r').unwrap_or(l);
-        if l.trim().is_empty() {
-            continue;
-        }
-        match lbrm_core::trace::analyze::parse_json_line(l) {
-            Some(r) => analyzer.push_record(&r),
-            None => skipped += 1,
-        }
-    }
+    let skipped = read_json_lines(reader, |r| analyzer.push_record(&r))?;
     let records = analyzer.records() as usize;
     Ok(DoctorRun {
         report: analyzer.finish(),

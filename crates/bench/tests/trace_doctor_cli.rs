@@ -1,7 +1,9 @@
 //! CLI contract tests for the `trace_doctor` binary: `--mem-budget`
-//! size parsing must reject malformed values with a usage error (not
-//! silently misread a budget), and `--assert-clean` must turn protocol
-//! anomalies into a nonzero exit code for CI.
+//! and `--horizon-ms` must reject malformed or overflowing values with
+//! a usage error (not silently misread them), replayed captures with
+//! extreme timestamps must not overflow the analyzer, and
+//! `--assert-clean` must turn protocol anomalies into a nonzero exit
+//! code for CI.
 
 use std::io::Write as _;
 use std::process::{Command, Output};
@@ -78,6 +80,35 @@ fn malformed_mem_budget_is_a_usage_error() {
     }
     let out = doctor(&["--mem-budget", "12T"]);
     assert!(stderr(&out).contains("unknown size suffix"));
+}
+
+#[test]
+fn overflowing_horizon_is_a_usage_error() {
+    // 18446744073710 ms is the first value whose nanoseconds exceed u64.
+    let out = doctor(&["--horizon-ms", "18446744073710"]);
+    assert!(
+        !out.status.success(),
+        "an overflowing horizon must be rejected"
+    );
+    let err = stderr(&out);
+    assert!(
+        err.contains("--horizon-ms"),
+        "error must name the flag: {err}"
+    );
+    assert!(err.contains("overflows"), "{err}");
+}
+
+#[test]
+fn extreme_timestamps_do_not_overflow_the_settle_check() {
+    // A send stamped at the end of the clock in an active epoch: the
+    // settle deadline saturates instead of wrapping into a false
+    // stalled-settlement anomaly (or a debug-build panic).
+    let capture = "{\"at_ns\":1,\"host\":1,\"event\":\"epoch_active\",\"epoch\":1,\"ackers\":1}\n\
+                   {\"at_ns\":18446744073709551615,\"host\":1,\"event\":\"data_sent\",\"seq\":1,\"epoch\":1}\n";
+    let run = analyze_jsonl(capture, &AnalyzeConfig::default());
+    assert_eq!(run.records, 2);
+    assert_eq!(run.skipped, 0);
+    assert!(run.report.is_clean(), "{:?}", run.report.anomalies);
 }
 
 #[test]

@@ -10,8 +10,12 @@
 //!
 //! The pipeline is: collect records (live via [`CollectorSink`], or
 //! replayed from a [`JsonLinesSink`](crate::JsonLinesSink) file via
-//! [`parse_json_lines`]), then [`analyze`] them into a
-//! [`RecoveryReport`]:
+//! [`read_json_lines`]), then [`analyze`] them into a
+//! [`RecoveryReport`]. `analyze` sorts the records by timestamp and
+//! folds them through the one correlator, the
+//! [`OnlineAnalyzer`](crate::OnlineAnalyzer), exactly; this module
+//! holds the record, report and anomaly types both ways of driving it
+//! share, and the JSONL replay parser. The report carries:
 //!
 //! * one [`RecoveryTimeline`] per `(host, seq)` recovery — loss
 //!   detected → NACK sent → logger serve / re-multicast → repair
@@ -26,13 +30,15 @@
 //!   repairs beyond the statistical-ACK expectation, heartbeat silence
 //!   longer than `h_max`, and stalled statistical-ACK settlements.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::io::BufRead;
 use std::sync::{Arc, Mutex};
 
 use lbrm_wire::{HostId, Seq};
 
-use crate::{Histogram, HistogramSnapshot, ProtocolEvent, TraceSink};
+use crate::online::{open_entry_bytes, OnlineAnalyzer, OnlineConfig};
+use crate::{HistogramSnapshot, ProtocolEvent, TraceSink};
 
 /// One recorded event: timestamp, emitting host, event.
 #[derive(Debug, Clone, PartialEq)]
@@ -384,21 +390,45 @@ pub fn parse_json_line(line: &str) -> Option<TraceRecord> {
     })
 }
 
-/// Parses a whole JSON-lines trace, returning the records plus the
-/// number of non-blank lines that failed to parse (a truncated final
-/// line from an unflushed writer shows up here).
-pub fn parse_json_lines(text: &str) -> (Vec<TraceRecord>, usize) {
-    let mut records = Vec::new();
+/// Reads a JSON-lines trace from `reader` one line at a time through a
+/// reused buffer, handing each parsed record to `on_record`. Blank
+/// lines are ignored; returns the number of non-blank lines that failed
+/// to parse (a truncated final line from an unflushed writer shows up
+/// here). Every one-shot replay goes through this loop.
+///
+/// # Errors
+///
+/// Propagates reader I/O errors.
+pub fn read_json_lines<R: BufRead>(
+    mut reader: R,
+    mut on_record: impl FnMut(TraceRecord),
+) -> std::io::Result<usize> {
     let mut skipped = 0usize;
-    for line in text.lines() {
-        if line.trim().is_empty() {
+    let mut line = String::new();
+    loop {
+        line.clear();
+        if reader.read_line(&mut line)? == 0 {
+            return Ok(skipped);
+        }
+        let l = line.strip_suffix('\n').unwrap_or(&line);
+        let l = l.strip_suffix('\r').unwrap_or(l);
+        if l.trim().is_empty() {
             continue;
         }
-        match parse_json_line(line) {
-            Some(r) => records.push(r),
+        match parse_json_line(l) {
+            Some(r) => on_record(r),
             None => skipped += 1,
         }
     }
+}
+
+/// Parses a whole JSON-lines trace held in memory, returning the
+/// records plus the number of malformed non-blank lines (see
+/// [`read_json_lines`]).
+pub fn parse_json_lines(text: &str) -> (Vec<TraceRecord>, usize) {
+    let mut records = Vec::new();
+    let skipped = read_json_lines(text.as_bytes(), |r| records.push(r))
+        .expect("reading from memory cannot fail");
     (records, skipped)
 }
 
@@ -762,23 +792,6 @@ impl Default for AnalyzeConfig {
     }
 }
 
-#[derive(Debug, Clone)]
-pub(crate) struct OpenRecovery {
-    pub(crate) detected_at: u64,
-    pub(crate) first_nack_at: Option<u64>,
-    pub(crate) nacks_sent: u32,
-    pub(crate) served_at: Option<u64>,
-    pub(crate) served_by: Option<HostId>,
-    pub(crate) repaired_at: Option<u64>,
-    pub(crate) source: RepairSource,
-}
-
-/// Approximate resident bytes of one open-recovery map entry (payload +
-/// key + node overhead) — the unit both analyzers meter live state in.
-pub(crate) fn open_entry_bytes() -> u64 {
-    (std::mem::size_of::<OpenRecovery>() + 12 + 32) as u64
-}
-
 /// Resident-state accounting for an analysis pass: how much live
 /// correlation state the analyzer held at its peak, and what (if
 /// anything) it had to shed to stay within budget. For the batch
@@ -856,31 +869,6 @@ impl RecoveryReport {
     /// `true` when no anomaly was detected.
     pub fn is_clean(&self) -> bool {
         self.anomalies.is_empty()
-    }
-
-    pub(crate) fn close(
-        timelines: &mut Vec<RecoveryTimeline>,
-        host: HostId,
-        seq: Seq,
-        open: OpenRecovery,
-        sent_at: Option<u64>,
-        outcome: RecoveryOutcome,
-        latency: Option<u64>,
-    ) {
-        timelines.push(RecoveryTimeline {
-            host,
-            seq,
-            sent_at_nanos: sent_at,
-            detected_at_nanos: open.detected_at,
-            first_nack_at_nanos: open.first_nack_at,
-            nacks_sent: open.nacks_sent,
-            served_at_nanos: open.served_at,
-            served_by: open.served_by,
-            repaired_at_nanos: open.repaired_at,
-            source: open.source,
-            outcome,
-            recovery_latency_nanos: latency,
-        });
     }
 
     /// Renders the report as a human-readable summary (slowest
@@ -1078,409 +1066,54 @@ impl RecoveryReport {
 
 /// Correlates `records` into recovery timelines, computes per-stage
 /// histograms and the repair-source breakdown, and runs the anomaly
-/// detectors. Records are sorted by timestamp internally, so both live
-/// collections and concatenated replay files work.
+/// detectors. The records are stably sorted by timestamp and folded
+/// through an exact [`OnlineAnalyzer`] (no live-timeline cap, no
+/// horizon, unbounded reservoirs), so live collections and concatenated
+/// replay files both work and every histogram and timeline is exact.
 pub fn analyze(records: &[TraceRecord], cfg: &AnalyzeConfig) -> RecoveryReport {
     let out_of_order = records
         .windows(2)
         .filter(|w| w[1].at_nanos < w[0].at_nanos)
         .count() as u64;
-    let mut recs: Vec<&TraceRecord> = records.iter().collect();
-    recs.sort_by_key(|r| r.at_nanos);
-    let end_ns = recs.last().map_or(0, |r| r.at_nanos);
-    let mut peak_live = 0u64;
-
-    let mut roles: BTreeMap<u64, &'static str> = BTreeMap::new();
-    let mut sent_at: BTreeMap<u32, u64> = BTreeMap::new();
-    let mut sent_epoch: BTreeMap<u32, u32> = BTreeMap::new();
-    let mut remulticast_at: BTreeMap<u32, u64> = BTreeMap::new();
-    let mut settled: BTreeSet<u32> = BTreeSet::new();
-    let mut active_epochs: BTreeSet<u32> = BTreeSet::new();
-    let mut open: BTreeMap<(u64, u32), OpenRecovery> = BTreeMap::new();
-    let mut timelines: Vec<RecoveryTimeline> = Vec::new();
-    let mut requests_per_seq: BTreeMap<u32, u64> = BTreeMap::new();
-    let mut dups_per_host_seq: BTreeMap<(u64, u32), u64> = BTreeMap::new();
-    let mut last_tx: BTreeMap<u64, u64> = BTreeMap::new();
-    let mut max_silence: BTreeMap<u64, u64> = BTreeMap::new();
-    let mut truncated_gap_spans = 0u64;
-    let mut recovered = 0usize;
-    let mut abandoned = 0usize;
-    // Election forensics: leaders per term, the newest elected term, and
-    // (host, seq) serves made under a term older than the newest. A
-    // repair from such a serve that a receiver *accepts* is split-brain.
-    let mut term_leaders: BTreeMap<u32, HostId> = BTreeMap::new();
-    let mut max_term = 0u32;
-    let mut stale_serves: BTreeMap<(u64, u32), u32> = BTreeMap::new();
-    let mut split_brain: Vec<Anomaly> = Vec::new();
-    let mut fenced_rejects = 0u64;
-
-    for r in &recs {
-        let h = r.host.raw();
-        match &r.event {
-            ProtocolEvent::RoleAnnounced { role } => {
-                roles.insert(h, role);
-            }
-            ProtocolEvent::DataSent { seq, epoch } => {
-                sent_at.entry(seq.raw()).or_insert(r.at_nanos);
-                sent_epoch.entry(seq.raw()).or_insert(epoch.raw());
-                let gap = r.at_nanos - last_tx.get(&h).copied().unwrap_or(r.at_nanos);
-                let m = max_silence.entry(h).or_insert(0);
-                *m = (*m).max(gap);
-                last_tx.insert(h, r.at_nanos);
-            }
-            ProtocolEvent::HeartbeatSent { .. } => {
-                let gap = r.at_nanos - last_tx.get(&h).copied().unwrap_or(r.at_nanos);
-                let m = max_silence.entry(h).or_insert(0);
-                *m = (*m).max(gap);
-                last_tx.insert(h, r.at_nanos);
-            }
-            ProtocolEvent::GapDetected { first, last } => {
-                let span = u64::from(last.distance_from(*first)) + 1;
-                if span > cfg.max_gap_span {
-                    truncated_gap_spans += 1;
-                }
-                for (i, seq) in first.iter_to(*last).enumerate() {
-                    if i as u64 >= cfg.max_gap_span {
-                        break;
-                    }
-                    open.entry((h, seq.raw())).or_insert(OpenRecovery {
-                        detected_at: r.at_nanos,
-                        first_nack_at: None,
-                        nacks_sent: 0,
-                        served_at: None,
-                        served_by: None,
-                        repaired_at: None,
-                        source: RepairSource::Unknown,
-                    });
-                }
-                peak_live = peak_live.max(open.len() as u64);
-            }
-            ProtocolEvent::NackSent {
-                target,
-                first,
-                last,
-                ..
-            } => {
-                let span = u64::from(last.distance_from(*first)) + 1;
-                // The paper's implosion bound (§2.2.1, Figure 7) is on
-                // requests reaching the *primary*: local NACKs absorbed
-                // by a site secondary are the mechanism working, not
-                // implosion, so only primary-bound requests count.
-                let upstream = roles.get(&target.raw()).copied() == Some("logger_primary");
-                for (i, seq) in first.iter_to(*last).enumerate() {
-                    if i as u64 >= cfg.max_gap_span.min(span) {
-                        break;
-                    }
-                    if upstream {
-                        *requests_per_seq.entry(seq.raw()).or_insert(0) += 1;
-                    }
-                    if let Some(o) = open.get_mut(&(h, seq.raw())) {
-                        o.first_nack_at.get_or_insert(r.at_nanos);
-                        o.nacks_sent += 1;
-                    }
-                }
-            }
-            ProtocolEvent::RetransServed { seq, multicast, to } => {
-                if *multicast {
-                    for ((_, s), o) in open.iter_mut() {
-                        if *s == seq.raw() {
-                            o.served_at.get_or_insert(r.at_nanos);
-                            o.served_by.get_or_insert(r.host);
-                        }
-                    }
-                } else if let Some(o) = open.get_mut(&(to.raw(), seq.raw())) {
-                    o.served_at.get_or_insert(r.at_nanos);
-                    o.served_by.get_or_insert(r.host);
-                }
-            }
-            ProtocolEvent::Remulticast { seq, .. } => {
-                remulticast_at.entry(seq.raw()).or_insert(r.at_nanos);
-                for ((_, s), o) in open.iter_mut() {
-                    if *s == seq.raw() {
-                        o.served_at.get_or_insert(r.at_nanos);
-                        o.served_by.get_or_insert(r.host);
-                    }
-                }
-            }
-            ProtocolEvent::RepairReceived { seq, from, kind } => {
-                if *kind == "retrans" {
-                    if let Some(&stale) = stale_serves.get(&(from.raw(), seq.raw())) {
-                        split_brain.push(Anomaly::SplitBrainServe {
-                            seq: *seq,
-                            by: *from,
-                            term: stale,
-                            current: max_term,
-                        });
-                    }
-                }
-                if let Some(o) = open.get_mut(&(h, seq.raw())) {
-                    o.repaired_at = Some(r.at_nanos);
-                    o.source = match *kind {
-                        "heartbeat" => RepairSource::Heartbeat,
-                        "retrans" => match roles.get(&from.raw()).copied() {
-                            Some("logger_primary") => RepairSource::Primary,
-                            Some("logger_secondary") => RepairSource::Secondary,
-                            Some("logger_replica") => RepairSource::Replica,
-                            Some("sender") => RepairSource::Sender,
-                            _ => RepairSource::Unknown,
-                        },
-                        "data" => {
-                            if remulticast_at
-                                .get(&seq.raw())
-                                .is_some_and(|&t| t <= r.at_nanos)
-                            {
-                                RepairSource::Remulticast
-                            } else {
-                                RepairSource::LateOriginal
-                            }
-                        }
-                        _ => RepairSource::Unknown,
-                    };
-                }
-            }
-            ProtocolEvent::RepairDuplicate { seq, .. } => {
-                *dups_per_host_seq.entry((h, seq.raw())).or_insert(0) += 1;
-            }
-            ProtocolEvent::Recovered { seq, latency_nanos } => {
-                if let Some(o) = open.remove(&(h, seq.raw())) {
-                    recovered += 1;
-                    RecoveryReport::close(
-                        &mut timelines,
-                        r.host,
-                        *seq,
-                        o,
-                        sent_at.get(&seq.raw()).copied(),
-                        RecoveryOutcome::Recovered,
-                        Some(*latency_nanos),
-                    );
-                }
-            }
-            ProtocolEvent::RecoveryAbandoned { seq } => {
-                if let Some(o) = open.remove(&(h, seq.raw())) {
-                    abandoned += 1;
-                    RecoveryReport::close(
-                        &mut timelines,
-                        r.host,
-                        *seq,
-                        o,
-                        sent_at.get(&seq.raw()).copied(),
-                        RecoveryOutcome::Abandoned,
-                        None,
-                    );
-                }
-            }
-            ProtocolEvent::Settled { seq, .. } => {
-                settled.insert(seq.raw());
-            }
-            ProtocolEvent::EpochActive { epoch, .. } => {
-                active_epochs.insert(epoch.raw());
-            }
-            ProtocolEvent::TermElected { term, leader } => {
-                match term_leaders.get(term) {
-                    Some(&prev) if prev != *leader => {
-                        split_brain.push(Anomaly::TermConflict {
-                            term: *term,
-                            a: prev,
-                            b: *leader,
-                        });
-                    }
-                    Some(_) => {}
-                    None => {
-                        term_leaders.insert(*term, *leader);
-                    }
-                }
-                max_term = max_term.max(*term);
-            }
-            ProtocolEvent::AuthorityServe { seq, term } if *term < max_term => {
-                stale_serves.insert((h, seq.raw()), *term);
-            }
-            ProtocolEvent::StaleTermFenced { .. } => {
-                fenced_rejects += 1;
-            }
-            _ => {}
-        }
+    let mut sorted: Vec<&TraceRecord> = records.iter().collect();
+    sorted.sort_by_key(|r| r.at_nanos);
+    let mut fold = OnlineAnalyzer::new(OnlineConfig {
+        analyze: cfg.clone(),
+        max_live_timelines: None,
+        horizon_nanos: None,
+        stage_reservoir: usize::MAX,
+        timeline_reservoir: usize::MAX,
+    });
+    for r in sorted {
+        fold.push_record(r);
     }
-
-    // Trailing silence: from the last transmission to end-of-run.
-    for (&h, &t) in &last_tx {
-        let m = max_silence.entry(h).or_insert(0);
-        *m = (*m).max(end_ns.saturating_sub(t));
-    }
-
-    let mut anomalies: Vec<Anomaly> = Vec::new();
-
-    // Unrecovered gaps: whatever is still open at end-of-run.
-    let mut unrecovered = 0usize;
-    let still_open: Vec<((u64, u32), OpenRecovery)> =
-        std::mem::take(&mut open).into_iter().collect();
-    for ((h, s), o) in still_open {
-        unrecovered += 1;
-        anomalies.push(Anomaly::UnrecoveredGap {
-            host: HostId(h),
-            seq: Seq(s),
-            detected_at_nanos: o.detected_at,
-        });
-        RecoveryReport::close(
-            &mut timelines,
-            HostId(h),
-            Seq(s),
-            o,
-            sent_at.get(&s).copied(),
-            RecoveryOutcome::Unrecovered,
-            None,
-        );
-    }
-
-    // NACK implosion (§2.2.1: distributed logging bounds requests at
-    // roughly one per site).
-    let secondaries = roles.values().filter(|r| **r == "logger_secondary").count() as u64;
-    let nack_bound = cfg
-        .nack_fan_in_bound
-        .or((secondaries > 0).then_some(secondaries + 2));
-    let max_nack_fan_in = requests_per_seq.values().copied().max().unwrap_or(0);
-    if let Some(bound) = nack_bound {
-        for (&s, &n) in &requests_per_seq {
-            if n > bound {
-                anomalies.push(Anomaly::NackImplosion {
-                    seq: Seq(s),
-                    requests: n,
-                    bound,
-                });
-            }
-        }
-    }
-
-    // Duplicate repairs beyond the statistical-ACK expectation. The
-    // bound is per receiver: one redundant copy each at many receivers
-    // is the expected cost of re-multicast, while one receiver served
-    // the same repair many times over means requests are not being
-    // suppressed.
-    let mut duplicate_repairs = 0u64;
-    for (&(host, s), &n) in &dups_per_host_seq {
-        duplicate_repairs += n;
-        if n > cfg.duplicate_bound {
-            anomalies.push(Anomaly::ExcessDuplicateRepairs {
-                host: HostId(host),
-                seq: Seq(s),
-                duplicates: n,
-                bound: cfg.duplicate_bound,
-            });
-        }
-    }
-
-    // Heartbeat silence beyond h_max (with 1.5x slack for the last
-    // in-flight interval).
-    if let Some(h_max) = cfg.h_max_nanos {
-        let bound = h_max + h_max / 2;
-        for (&h, &gap) in &max_silence {
-            if gap > bound {
-                anomalies.push(Anomaly::HeartbeatSilence {
-                    host: HostId(h),
-                    gap_nanos: gap,
-                    h_max_nanos: h_max,
-                });
-            }
-        }
-    }
-
-    // Stalled settlements: data in an active epoch that never settled
-    // (ignoring sends within the trailing grace window).
-    for (&s, &e) in &sent_epoch {
-        if !active_epochs.contains(&e) || settled.contains(&s) {
-            continue;
-        }
-        let at = sent_at.get(&s).copied().unwrap_or(0);
-        if at + cfg.settle_slack_nanos < end_ns {
-            anomalies.push(Anomaly::StalledSettlement {
-                seq: Seq(s),
-                sent_at_nanos: at,
-            });
-        }
-    }
-
-    // Split-brain detections (term conflicts and accepted stale serves),
-    // in stream order, after every other detector — the streaming
-    // analyzer appends them at the same position for parity.
-    anomalies.append(&mut split_brain);
-
-    // Stage histograms over recovered timelines.
-    let mut detection = Histogram::default();
-    let mut request = Histogram::default();
-    let mut serve = Histogram::default();
-    let mut return_leg = Histogram::default();
-    let mut total = Histogram::default();
-    let mut sources: BTreeMap<&'static str, u64> = BTreeMap::new();
-    let mut telescoping = 0usize;
-    for t in &timelines {
-        if t.outcome != RecoveryOutcome::Recovered {
-            continue;
-        }
-        if let Some(n) = t.detection_nanos() {
-            detection.record(n);
-        }
-        if let Some(n) = t.request_nanos() {
-            request.record(n);
-        }
-        if let Some(n) = t.serve_nanos() {
-            serve.record(n);
-        }
-        if let Some(n) = t.return_nanos() {
-            return_leg.record(n);
-        }
-        if let Some(n) = t.recovery_latency_nanos {
-            total.record(n);
-        }
-        *sources.entry(t.source.label()).or_insert(0) += 1;
-        if t.stages_telescope() {
-            telescoping += 1;
-        }
-    }
-
-    let (detection, request, serve, return_leg, total) = (
-        detection.snapshot(),
-        request.snapshot(),
-        serve.snapshot(),
-        return_leg.snapshot(),
-        total.snapshot(),
-    );
+    let mut report = fold.finish();
 
     // What materializing the whole capture cost: the record vector and
     // sorted-ref index dominate, then timelines and exact histograms.
-    let hist_samples =
-        (detection.count() + request.count() + serve.count() + return_leg.count() + total.count())
-            as u64;
-    let peak_resident_bytes = records.len() as u64
-        * (std::mem::size_of::<TraceRecord>() as u64 + 8)
-        + peak_live * open_entry_bytes()
-        + timelines.len() as u64 * std::mem::size_of::<RecoveryTimeline>() as u64
-        + hist_samples * 8;
-
-    RecoveryReport {
-        timelines,
-        recovered,
-        abandoned,
-        unrecovered,
-        detection,
-        request,
-        serve,
-        return_leg,
-        total,
-        sources,
-        duplicate_repairs,
-        max_nack_fan_in,
-        telescoping,
-        truncated_gap_spans,
-        fenced_rejects,
-        anomalies,
-        stream: StreamStats {
-            streamed: false,
-            peak_live_timelines: peak_live,
-            peak_resident_bytes,
-            force_evicted: 0,
-            aged_out: 0,
-            out_of_order,
-        },
-    }
+    let hist_samples = [
+        &report.detection,
+        &report.request,
+        &report.serve,
+        &report.return_leg,
+        &report.total,
+    ]
+    .iter()
+    .map(|h| h.count() as u64)
+    .sum::<u64>();
+    let peak_live = report.stream.peak_live_timelines;
+    report.stream = StreamStats {
+        streamed: false,
+        peak_live_timelines: peak_live,
+        peak_resident_bytes: records.len() as u64 * (std::mem::size_of::<TraceRecord>() as u64 + 8)
+            + peak_live * open_entry_bytes()
+            + report.timelines.len() as u64 * std::mem::size_of::<RecoveryTimeline>() as u64
+            + hist_samples * 8,
+        force_evicted: 0,
+        aged_out: 0,
+        out_of_order,
+    };
+    report
 }
 
 #[cfg(test)]

@@ -18,16 +18,17 @@
 //!   event; the `protocol_micro` bench pins the claim down. Every
 //!   tracer carries the emitting [`HostId`] so downstream analysis can
 //!   correlate events causally across machines.
-//! * [`analyze`] — recovery forensics: correlates a recorded event
-//!   stream into per-`(host, seq)` recovery timelines, per-stage
-//!   latency histograms, a repair-source breakdown, and anomaly
-//!   detections (see [`analyze::RecoveryReport`]).
-//! * [`OnlineAnalyzer`] — the streaming flavour of the same forensics:
-//!   one record at a time in bounded memory (evict-on-close, optional
-//!   age-out horizon and live-timeline cap, [`StreamingHistogram`]
-//!   stage folding), with its own peak resident state reported in
+//! * [`OnlineAnalyzer`] — recovery forensics: correlates an event
+//!   stream, one record at a time in bounded memory, into
+//!   per-`(host, seq)` recovery timelines, per-stage latency
+//!   histograms, a repair-source breakdown, and anomaly detections (see
+//!   [`analyze::RecoveryReport`]). Eviction (evict-on-close, optional
+//!   age-out horizon and live-timeline cap) and [`StreamingHistogram`]
+//!   stage folding bound its state, which it reports in
 //!   [`analyze::StreamStats`]. [`OnlineAnalyzerSink`] plugs it straight
 //!   into a live run.
+//! * [`analyze`] — the batch entry point: sorts a recorded stream by
+//!   timestamp and folds it through the same analyzer exactly.
 //!
 //! Timestamps cross the API as raw nanoseconds (`at_nanos`) so the same
 //! events work under both the protocol clock (`lbrm_core::time::Time`)
@@ -64,9 +65,7 @@ pub use doctor::{
     fold_deltas, AdminServer, DeltaFold, DeltaTracker, DoctorConfig, DoctorSidecar, DoctorSink,
     ReportBasis, ReportDelta,
 };
-pub use metrics::{
-    Histogram, HistogramSnapshot, MetricsRegistry, StreamingHistogram, STREAM_HIST_BUCKETS,
-};
+pub use metrics::{HistogramSnapshot, MetricsRegistry, StreamingHistogram, STREAM_HIST_BUCKETS};
 pub use online::{LiveGap, OnlineAnalyzer, OnlineAnalyzerSink, OnlineConfig};
 pub use sink::{CountingSink, JsonLinesSink, NoopSink, RingSink};
 

@@ -8,31 +8,6 @@ use std::time::Duration;
 
 use crate::{ProtocolEvent, TraceSink};
 
-/// A latency distribution that retains every sample, so experiments can
-/// compute exact percentiles (runs are sim-scale: thousands of samples,
-/// not millions).
-#[derive(Debug, Default)]
-pub struct Histogram {
-    samples_nanos: Vec<u64>,
-}
-
-impl Histogram {
-    /// Adds one sample.
-    pub fn record(&mut self, nanos: u64) {
-        self.samples_nanos.push(nanos);
-    }
-
-    /// An immutable view for computation.
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        let mut sorted = self.samples_nanos.clone();
-        sorted.sort_unstable();
-        HistogramSnapshot {
-            sorted_nanos: sorted,
-            totals: None,
-        }
-    }
-}
-
 /// Exact totals carried by a snapshot whose raw samples were
 /// reservoir-sampled down (see [`StreamingHistogram`]): the count, sum
 /// and max cover *every* recorded value, not just the retained ones.
@@ -43,10 +18,10 @@ struct ExactTotals {
     max_nanos: u64,
 }
 
-/// A sorted copy of a [`Histogram`]'s samples.
+/// A sorted copy of a [`StreamingHistogram`]'s retained samples.
 ///
-/// Snapshots taken from a [`StreamingHistogram`] whose reservoir
-/// overflowed additionally carry exact totals: [`count`](Self::count),
+/// Snapshots taken from a histogram whose reservoir overflowed
+/// additionally carry exact totals: [`count`](Self::count),
 /// [`mean`](Self::mean) and [`max`](Self::max) stay exact over the full
 /// population while [`samples`](Self::samples) and
 /// [`percentile`](Self::percentile) answer from the retained reservoir.
@@ -135,8 +110,9 @@ pub const STREAM_HIST_BUCKETS: usize = 64;
 /// The reservoir uses Algorithm R with a fixed-seed splitmix64 stream,
 /// so runs are deterministic: identical inputs yield identical
 /// snapshots, and while the sample count is at or below the reservoir
-/// capacity the snapshot is byte-for-byte the exact distribution (which
-/// is what the batch-vs-streaming differential tests pin).
+/// capacity the snapshot is byte-for-byte the exact distribution. A
+/// capacity of `usize::MAX` therefore keeps every sample: that is how
+/// the batch analyzer and the [`MetricsRegistry`] stay exact.
 #[derive(Debug, Clone)]
 pub struct StreamingHistogram {
     buckets: [u64; STREAM_HIST_BUCKETS],
@@ -240,12 +216,26 @@ impl StreamingHistogram {
 ///
 /// Share one registry across the machines whose events should aggregate
 /// together (e.g. all receivers of a scenario).
-#[derive(Debug, Default)]
+///
+/// Both histograms keep every sample (an unbounded reservoir), so the
+/// experiments' percentiles are exact.
+#[derive(Debug)]
 pub struct MetricsRegistry {
     counters: Mutex<BTreeMap<&'static str, u64>>,
     gauges: Mutex<BTreeMap<String, u64>>,
-    recovery_latency: Mutex<Histogram>,
-    t_wait: Mutex<Histogram>,
+    recovery_latency: Mutex<StreamingHistogram>,
+    t_wait: Mutex<StreamingHistogram>,
+}
+
+impl Default for MetricsRegistry {
+    fn default() -> Self {
+        MetricsRegistry {
+            counters: Mutex::default(),
+            gauges: Mutex::default(),
+            recovery_latency: Mutex::new(StreamingHistogram::new(usize::MAX)),
+            t_wait: Mutex::new(StreamingHistogram::new(usize::MAX)),
+        }
+    }
 }
 
 impl MetricsRegistry {
@@ -384,19 +374,26 @@ mod tests {
 
     #[test]
     fn streaming_histogram_is_exact_under_capacity() {
-        let mut exact = Histogram::default();
+        let mut exact = Vec::new();
         let mut stream = StreamingHistogram::new(100);
         for n in (1..=100u64).rev() {
-            exact.record(n * 7);
+            exact.push(n * 7);
             stream.record(n * 7);
         }
-        let (e, s) = (exact.snapshot(), stream.snapshot());
+        exact.sort_unstable();
+        let s = stream.snapshot();
         assert!(!s.is_sampled());
-        assert_eq!(s.count(), e.count());
-        assert_eq!(s.samples(), e.samples());
-        assert_eq!(s.mean(), e.mean());
-        assert_eq!(s.percentile(0.95), e.percentile(0.95));
-        assert_eq!(s.max(), e.max());
+        assert_eq!(s.count(), exact.len());
+        let nanos = |n: u64| Duration::from_nanos(n);
+        assert_eq!(
+            s.samples(),
+            exact.iter().copied().map(nanos).collect::<Vec<_>>()
+        );
+        let sum: u64 = exact.iter().sum();
+        assert_eq!(s.mean(), nanos(sum / exact.len() as u64));
+        // Nearest rank: the 95th of 100 sorted samples.
+        assert_eq!(s.percentile(0.95), nanos(exact[94]));
+        assert_eq!(s.max(), nanos(*exact.last().unwrap()));
     }
 
     #[test]
@@ -428,7 +425,7 @@ mod tests {
 
     #[test]
     fn percentile_nearest_rank() {
-        let mut h = Histogram::default();
+        let mut h = StreamingHistogram::new(usize::MAX);
         for n in 1..=100u64 {
             h.record(n);
         }

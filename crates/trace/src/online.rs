@@ -1,35 +1,36 @@
-//! Streaming recovery forensics: the [`OnlineAnalyzer`] correlates a
-//! [`ProtocolEvent`] stream *one record at a time* in bounded memory.
+//! The recovery-forensics correlator: the [`OnlineAnalyzer`] folds a
+//! [`ProtocolEvent`] stream into a [`RecoveryReport`] *one record at a
+//! time*. It is the only place records are correlated: the batch
+//! [`analyze`](crate::analyze::analyze) sorts a materialized capture by
+//! timestamp and folds it through this same analyzer with no cap, no
+//! horizon and unbounded reservoirs.
 //!
-//! The batch [`analyze`](crate::analyze::analyze) materializes every
-//! parsed record plus every per-`(host, seq)` timeline before it can
-//! say anything — for the million-event captures a thousands-of-sites
-//! DIS run produces, that blows up exactly where the forensics layer
-//! matters most. The streaming correlator instead:
+//! Streaming keeps memory bounded on the million-event captures a
+//! thousands-of-sites DIS run produces, exactly where the forensics
+//! layer matters most. The correlator:
 //!
 //! * holds only the **open** timelines, evicting each one the moment it
 //!   closes (repair received and the `Recovered`/`RecoveryAbandoned`
 //!   settlement observed) or ages out past a configurable horizon;
-//! * folds stage latencies straight into fixed-size
-//!   [`StreamingHistogram`]s (power-of-two buckets + a bounded,
-//!   deterministically seeded reservoir), never a vector of samples;
-//! * retains closed timelines in a bounded reservoir (close order is
-//!   preserved among the survivors);
+//! * folds stage latencies straight into [`StreamingHistogram`]s
+//!   (power-of-two buckets + a deterministically seeded reservoir);
+//! * retains closed timelines in a reservoir (close order is preserved
+//!   among the survivors);
 //! * meters its own resident state — live timelines and approximate
 //!   bytes — as a first-class [`StreamStats`] metric in the final
 //!   [`RecoveryReport`], which is what the `trace_doctor --mem-budget`
 //!   CI gate asserts on.
 //!
 //! **Fidelity contract.** On a time-ordered stream, with no live-cap
-//! and no horizon, the streaming report is *identical* to the batch
-//! one — same anomaly set in the same order, same counts, same
-//! repair-source breakdown, same telescoping stage latencies — up to
-//! reservoir sampling: while the number of recoveries stays at or below
-//! the reservoir capacities, even the histograms and retained timelines
-//! match sample-for-sample (counts, means and maxima stay exact
-//! beyond that). The batch analyzer stays as the differential
-//! reference; `tests/forensics_stream_sim.rs` pins the equivalence on
-//! seeded DIS and lossy-WAN captures with randomized loss patterns.
+//! and no horizon, the default streaming report equals the batch one —
+//! same anomaly set in the same order, same counts, same repair-source
+//! breakdown, same telescoping stage latencies — up to reservoir
+//! sampling: while the number of recoveries stays at or below the
+//! reservoir capacities, even the histograms and retained timelines
+//! match sample-for-sample (counts, means and maxima stay exact beyond
+//! that). `tests/forensics_stream_sim.rs` checks this on seeded DIS and
+//! lossy-WAN captures with randomized loss patterns, and
+//! `tests/forensics_golden.rs` pins both reports byte for byte.
 //!
 //! Divergences are explicit, never silent:
 //!
@@ -50,8 +51,8 @@ use std::sync::Mutex;
 use lbrm_wire::{HostId, Seq};
 
 use crate::analyze::{
-    open_entry_bytes, AnalyzeConfig, Anomaly, OpenRecovery, RecoveryOutcome, RecoveryReport,
-    RecoveryTimeline, RepairSource, StreamStats, TraceRecord,
+    AnalyzeConfig, Anomaly, RecoveryOutcome, RecoveryReport, RecoveryTimeline, RepairSource,
+    StreamStats, TraceRecord,
 };
 use crate::{ProtocolEvent, StreamingHistogram, TraceSink};
 
@@ -96,10 +97,28 @@ impl Default for OnlineConfig {
     }
 }
 
+/// One still-open `(host, seq)` recovery: the stage timestamps seen so
+/// far.
+#[derive(Debug, Clone)]
+struct OpenRecovery {
+    detected_at: u64,
+    first_nack_at: Option<u64>,
+    nacks_sent: u32,
+    served_at: Option<u64>,
+    served_by: Option<HostId>,
+    repaired_at: Option<u64>,
+    source: RepairSource,
+}
+
+/// Approximate resident bytes of one open-recovery map entry (payload +
+/// key + node overhead) — the unit live correlation state is metered in.
+pub(crate) fn open_entry_bytes() -> u64 {
+    (std::mem::size_of::<OpenRecovery>() + 12 + 32) as u64
+}
+
 /// Bounded reservoir of closed timelines. Under capacity it is exactly
-/// the close-order vector the batch analyzer builds; over capacity,
-/// Algorithm R keeps a uniform sample and close order is restored among
-/// the survivors at the end.
+/// the close-order vector; over capacity, Algorithm R keeps a uniform
+/// sample and close order is restored among the survivors at the end.
 #[derive(Debug, Clone)]
 struct TimelineReservoir {
     kept: Vec<(u64, RecoveryTimeline)>,
@@ -149,7 +168,7 @@ impl TimelineReservoir {
 #[derive(Debug, Clone)]
 pub struct OnlineAnalyzer {
     cfg: OnlineConfig,
-    // Correlation state (mirrors the batch analyzer's loop state).
+    // Correlation state.
     roles: BTreeMap<u64, &'static str>,
     sent_at: BTreeMap<u32, u64>,
     sent_epoch: BTreeMap<u32, u32>,
@@ -159,24 +178,25 @@ pub struct OnlineAnalyzer {
     open: BTreeMap<(u64, u32), OpenRecovery>,
     /// Age index over `open`: `(detected_at, host, seq)` — the oldest
     /// open timeline is `first()`, so cap and horizon evictions are
-    /// O(log live), never a scan.
-    by_age: BTreeSet<(u64, u64, u32)>,
+    /// O(log live), never a scan. Kept only when a cap or a horizon is
+    /// set: nothing else evicts by age.
+    by_age: Option<BTreeSet<(u64, u64, u32)>>,
     requests_per_seq: BTreeMap<u32, u64>,
     dups_per_host_seq: BTreeMap<(u64, u32), u64>,
     last_tx: BTreeMap<u64, u64>,
     max_silence: BTreeMap<u64, u64>,
     truncated_gap_spans: u64,
-    // Split-brain detector state (mirrors the batch analyzer).
+    // Split-brain detector state.
     term_leaders: BTreeMap<u32, HostId>,
     max_term: u32,
     stale_serves: BTreeMap<(u64, u32), u32>,
     /// Term conflicts and accepted stale serves, in stream order. Kept
     /// out of [`basis`](Self::basis) (like every end-of-stream
     /// detector) and appended after stalled settlements in
-    /// [`finish`](Self::finish), matching the batch anomaly order.
+    /// [`finish`](Self::finish).
     split_brain: Vec<Anomaly>,
     fenced_rejects: u64,
-    // Folded results (what the batch analyzer defers to the end).
+    // Folded results.
     recovered: usize,
     abandoned: usize,
     unrecovered: usize,
@@ -189,8 +209,7 @@ pub struct OnlineAnalyzer {
     telescoping: usize,
     timelines: TimelineReservoir,
     /// Unrecovered-gap anomalies raised by horizon evictions, in
-    /// eviction order (end-of-stream gaps follow in key order, matching
-    /// the batch analyzer's anomaly ordering when no horizon is set).
+    /// eviction order (end-of-stream gaps follow in key order).
     gap_anomalies: Vec<Anomaly>,
     // Stream bookkeeping.
     records: u64,
@@ -208,6 +227,8 @@ impl OnlineAnalyzer {
     pub fn new(cfg: OnlineConfig) -> Self {
         let stage = cfg.stage_reservoir;
         let tl = cfg.timeline_reservoir;
+        let by_age =
+            (cfg.max_live_timelines.is_some() || cfg.horizon_nanos.is_some()).then(BTreeSet::new);
         OnlineAnalyzer {
             cfg,
             roles: BTreeMap::new(),
@@ -217,7 +238,7 @@ impl OnlineAnalyzer {
             settled: BTreeSet::new(),
             active_epochs: BTreeSet::new(),
             open: BTreeMap::new(),
-            by_age: BTreeSet::new(),
+            by_age,
             requests_per_seq: BTreeMap::new(),
             dups_per_host_seq: BTreeMap::new(),
             last_tx: BTreeMap::new(),
@@ -272,7 +293,7 @@ impl OnlineAnalyzer {
     pub fn approx_resident_bytes(&self) -> u64 {
         const NODE: u64 = 32; // BTree node overhead per entry, roughly.
         self.open.len() as u64 * open_entry_bytes()
-            + self.by_age.len() as u64 * (24 + NODE)
+            + self.by_age.as_ref().map_or(0, BTreeSet::len) as u64 * (24 + NODE)
             + (self.roles.len() + self.last_tx.len() + self.max_silence.len()) as u64 * (16 + NODE)
             + (self.sent_at.len()
                 + self.sent_epoch.len()
@@ -346,10 +367,16 @@ impl OnlineAnalyzer {
     /// The `limit` oldest still-open recoveries, oldest first — the
     /// bounded listing behind the admin surface's `/timelines/live`.
     pub fn live_oldest(&self, limit: usize) -> Vec<LiveGap> {
-        self.by_age
+        let mut oldest: Vec<(u64, u64, u32)> = self
+            .open
             .iter()
-            .take(limit)
-            .map(|&(at, h, s)| {
+            .map(|(&(h, s), o)| (o.detected_at, h, s))
+            .collect();
+        oldest.sort_unstable();
+        oldest.truncate(limit);
+        oldest
+            .into_iter()
+            .map(|(at, h, s)| {
                 let o = &self.open[&(h, s)];
                 LiveGap {
                     host: HostId(h),
@@ -409,10 +436,10 @@ impl OnlineAnalyzer {
         self.timelines.offer(t);
     }
 
-    /// Removes the oldest open timeline and returns it, if any.
+    /// Removes the oldest open timeline and returns it, if any. Only
+    /// called with a cap or a horizon set, i.e. with the age index kept.
     fn evict_oldest(&mut self) -> Option<(HostId, Seq, OpenRecovery)> {
-        let &(at, h, s) = self.by_age.first()?;
-        self.by_age.remove(&(at, h, s));
+        let (_, h, s) = self.by_age.as_mut()?.pop_first()?;
         let o = self
             .open
             .remove(&(h, s))
@@ -431,7 +458,9 @@ impl OnlineAnalyzer {
                 repaired_at: None,
                 source: RepairSource::Unknown,
             });
-            self.by_age.insert((at, h, seq));
+            if let Some(by_age) = &mut self.by_age {
+                by_age.insert((at, h, seq));
+            }
             // Enforce the live-timeline cap immediately, so the peak
             // the budget gate asserts on truly never exceeds it.
             if let Some(cap) = self.cfg.max_live_timelines {
@@ -442,6 +471,15 @@ impl OnlineAnalyzer {
             }
             self.peak_live = self.peak_live.max(self.open.len() as u64);
         }
+    }
+
+    /// Removes the open timeline for `(h, seq)`, if any.
+    fn close_open(&mut self, h: u64, seq: u32) -> Option<OpenRecovery> {
+        let o = self.open.remove(&(h, seq))?;
+        if let Some(by_age) = &mut self.by_age {
+            by_age.remove(&(o.detected_at, h, seq));
+        }
+        Some(o)
     }
 
     /// Consumes one record. Records are expected in timestamp order
@@ -455,7 +493,7 @@ impl OnlineAnalyzer {
         }
         self.last_at = at_nanos;
         self.end_ns = self.end_ns.max(at_nanos);
-        let cfg = self.cfg.analyze.clone();
+        let max_gap_span = self.cfg.analyze.max_gap_span;
         let h = host.raw();
 
         // Horizon age-out: close everything that has been open longer
@@ -464,7 +502,8 @@ impl OnlineAnalyzer {
             let cutoff = at_nanos.saturating_sub(horizon);
             while self
                 .by_age
-                .first()
+                .as_ref()
+                .and_then(BTreeSet::first)
                 .is_some_and(|&(detected, _, _)| detected < cutoff)
             {
                 let (eh, es, o) = self.evict_oldest().expect("checked non-empty");
@@ -486,8 +525,8 @@ impl OnlineAnalyzer {
             ProtocolEvent::DataSent { seq, epoch } => {
                 self.sent_at.entry(seq.raw()).or_insert(at_nanos);
                 self.sent_epoch.entry(seq.raw()).or_insert(epoch.raw());
-                // saturating: unlike the batch analyzer we never sort,
-                // so an out-of-order record must not underflow.
+                // saturating: records are correlated in arrival order,
+                // so an out-of-order one must not underflow.
                 let gap =
                     at_nanos.saturating_sub(self.last_tx.get(&h).copied().unwrap_or(at_nanos));
                 let m = self.max_silence.entry(h).or_insert(0);
@@ -503,11 +542,11 @@ impl OnlineAnalyzer {
             }
             ProtocolEvent::GapDetected { first, last } => {
                 let span = u64::from(last.distance_from(*first)) + 1;
-                if span > cfg.max_gap_span {
+                if span > max_gap_span {
                     self.truncated_gap_spans += 1;
                 }
                 for (i, seq) in first.iter_to(*last).enumerate() {
-                    if i as u64 >= cfg.max_gap_span {
+                    if i as u64 >= max_gap_span {
                         break;
                     }
                     self.open_timeline(h, seq.raw(), at_nanos);
@@ -520,12 +559,13 @@ impl OnlineAnalyzer {
                 ..
             } => {
                 let span = u64::from(last.distance_from(*first)) + 1;
-                // Same primary-bound rule as the batch analyzer: NACKs
-                // absorbed by site secondaries are the mechanism
-                // working, not implosion.
+                // The paper's implosion bound (§2.2.1, Figure 7) is on
+                // requests reaching the *primary*: local NACKs absorbed
+                // by a site secondary are the mechanism working, not
+                // implosion, so only primary-bound requests count.
                 let upstream = self.roles.get(&target.raw()).copied() == Some("logger_primary");
                 for (i, seq) in first.iter_to(*last).enumerate() {
-                    if i as u64 >= cfg.max_gap_span.min(span) {
+                    if i as u64 >= max_gap_span.min(span) {
                         break;
                     }
                     if upstream {
@@ -570,39 +610,37 @@ impl OnlineAnalyzer {
                         });
                     }
                 }
-                let source = match *kind {
-                    "heartbeat" => RepairSource::Heartbeat,
-                    "retrans" => match self.roles.get(&from.raw()).copied() {
-                        Some("logger_primary") => RepairSource::Primary,
-                        Some("logger_secondary") => RepairSource::Secondary,
-                        Some("logger_replica") => RepairSource::Replica,
-                        Some("sender") => RepairSource::Sender,
-                        _ => RepairSource::Unknown,
-                    },
-                    "data" => {
-                        if self
-                            .remulticast_at
-                            .get(&seq.raw())
-                            .is_some_and(|&t| t <= at_nanos)
-                        {
-                            RepairSource::Remulticast
-                        } else {
-                            RepairSource::LateOriginal
-                        }
-                    }
-                    _ => RepairSource::Unknown,
-                };
                 if let Some(o) = self.open.get_mut(&(h, seq.raw())) {
                     o.repaired_at = Some(at_nanos);
-                    o.source = source;
+                    o.source = match *kind {
+                        "heartbeat" => RepairSource::Heartbeat,
+                        "retrans" => match self.roles.get(&from.raw()).copied() {
+                            Some("logger_primary") => RepairSource::Primary,
+                            Some("logger_secondary") => RepairSource::Secondary,
+                            Some("logger_replica") => RepairSource::Replica,
+                            Some("sender") => RepairSource::Sender,
+                            _ => RepairSource::Unknown,
+                        },
+                        "data" => {
+                            if self
+                                .remulticast_at
+                                .get(&seq.raw())
+                                .is_some_and(|&t| t <= at_nanos)
+                            {
+                                RepairSource::Remulticast
+                            } else {
+                                RepairSource::LateOriginal
+                            }
+                        }
+                        _ => RepairSource::Unknown,
+                    };
                 }
             }
             ProtocolEvent::RepairDuplicate { seq, .. } => {
                 *self.dups_per_host_seq.entry((h, seq.raw())).or_insert(0) += 1;
             }
             ProtocolEvent::Recovered { seq, latency_nanos } => {
-                if let Some(o) = self.open.remove(&(h, seq.raw())) {
-                    self.by_age.remove(&(o.detected_at, h, seq.raw()));
+                if let Some(o) = self.close_open(h, seq.raw()) {
                     self.recovered += 1;
                     self.close_timeline(
                         host,
@@ -614,8 +652,7 @@ impl OnlineAnalyzer {
                 }
             }
             ProtocolEvent::RecoveryAbandoned { seq } => {
-                if let Some(o) = self.open.remove(&(h, seq.raw())) {
-                    self.by_age.remove(&(o.detected_at, h, seq.raw()));
+                if let Some(o) = self.close_open(h, seq.raw()) {
                     self.abandoned += 1;
                     self.close_timeline(host, *seq, o, RecoveryOutcome::Abandoned, None);
                 }
@@ -672,11 +709,13 @@ impl OnlineAnalyzer {
         }
 
         // Horizon evictions first (eviction order), then end-of-stream
-        // gaps in key order — exactly the batch order when no horizon.
+        // gaps in key order.
         let mut anomalies: Vec<Anomaly> = std::mem::take(&mut self.gap_anomalies);
         let still_open: Vec<((u64, u32), OpenRecovery)> =
             std::mem::take(&mut self.open).into_iter().collect();
-        self.by_age.clear();
+        if let Some(by_age) = &mut self.by_age {
+            by_age.clear();
+        }
         for ((h, s), o) in still_open {
             self.unrecovered += 1;
             anomalies.push(Anomaly::UnrecoveredGap {
@@ -722,7 +761,7 @@ impl OnlineAnalyzer {
         }
 
         if let Some(h_max) = cfg.h_max_nanos {
-            let bound = h_max + h_max / 2;
+            let bound = h_max.saturating_add(h_max / 2);
             for (&h, &gap) in &self.max_silence {
                 if gap > bound {
                     anomalies.push(Anomaly::HeartbeatSilence {
@@ -738,8 +777,9 @@ impl OnlineAnalyzer {
             if !self.active_epochs.contains(&e) || self.settled.contains(&s) {
                 continue;
             }
+            // saturating: a replayed capture may carry any timestamp.
             let at = self.sent_at.get(&s).copied().unwrap_or(0);
-            if at + cfg.settle_slack_nanos < end_ns {
+            if at.saturating_add(cfg.settle_slack_nanos) < end_ns {
                 anomalies.push(Anomaly::StalledSettlement {
                     seq: Seq(s),
                     sent_at_nanos: at,
@@ -747,8 +787,8 @@ impl OnlineAnalyzer {
             }
         }
 
-        // Split-brain detections after every other detector — same
-        // position as the batch analyzer, so the parity tests hold.
+        // Split-brain detections (term conflicts and accepted stale
+        // serves), in stream order, after every other detector.
         anomalies.append(&mut self.split_brain);
 
         let peak_bytes = self.peak_bytes.max(self.approx_resident_bytes());
@@ -1155,6 +1195,39 @@ mod tests {
         // announce at t=1040).
         let n = kinds.len();
         assert_eq!(&kinds[n - 2..], ["split_brain_serve", "term_conflict"]);
+    }
+
+    #[test]
+    fn live_oldest_orders_by_detection_then_host_then_seq() {
+        // Gaps at three hosts, detected out of key order and with a tie
+        // at t=20: the listing is (detected_at, host, seq) ascending.
+        let mut records = Vec::new();
+        for (at, host, seq) in [
+            (30, 41, 1),
+            (20, 43, 2),
+            (20, 42, 5),
+            (10, 44, 9),
+            (40, 40, 3),
+        ] {
+            records.push(rec(
+                at,
+                HostId(host),
+                ProtocolEvent::GapDetected {
+                    first: Seq(seq),
+                    last: Seq(seq),
+                },
+            ));
+        }
+        let mut a = OnlineAnalyzer::new(OnlineConfig::default());
+        for r in &records {
+            a.push_record(r);
+        }
+        let listing: Vec<_> = a
+            .live_oldest(3)
+            .iter()
+            .map(|g| (g.detected_at_nanos / 1_000_000, g.host.raw(), g.seq.raw()))
+            .collect();
+        assert_eq!(listing, [(10, 44, 9), (20, 42, 5), (20, 43, 2)]);
     }
 
     #[test]
